@@ -63,8 +63,9 @@ func (g *graphSink) begin(kinds []coherence.Kind, mode explore.Mode) io.Writer {
 // exploreMatrix runs the exhaustive sweep over every 2-master protocol
 // multiset, wrapped and unwired, printing the state/transition census and
 // gating on: zero wrapped violations, complete sweeps, at least one unwired
-// defect (the positive control), and the wall-clock budget.
-func exploreMatrix(graphPath string, budget time.Duration, maxStates int) error {
+// defect (the positive control), and the wall-clock budget.  The report goes
+// to out.
+func exploreMatrix(out io.Writer, graphPath string, budget time.Duration, maxStates int) error {
 	start := time.Now()
 	graph, closeGraph, err := newGraphSink(graphPath)
 	if err != nil {
@@ -139,17 +140,19 @@ func exploreMatrix(graphPath string, budget time.Duration, maxStates int) error 
 			t.AddRow(a, b, "unwired", "-", res.States, res.Transitions, len(res.Violations), verdict)
 		}
 	}
-	t.Render(os.Stdout)
+	t.Render(out)
 	elapsed := time.Since(start)
-	fmt.Printf("\ncensus: %d states, %d transitions explored in %v\n", totalStates, totalTrans, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "\ncensus: %d states, %d transitions explored in %v (%.0f states/s, %.0f transitions/s)\n",
+		totalStates, totalTrans, elapsed.Round(time.Millisecond),
+		float64(totalStates)/elapsed.Seconds(), float64(totalTrans)/elapsed.Seconds())
 
 	if firstWrapped != nil {
-		fmt.Printf("\nwrapped violation — counterexample replay:\n")
-		printTrace(*firstWrapped)
+		fmt.Fprintf(out, "\nwrapped violation — counterexample replay:\n")
+		printTrace(out, *firstWrapped)
 	}
 	if firstDefect != nil {
-		fmt.Printf("\npositive control — first defect without wrappers (%s): %v\n", defectLabel, *firstDefect)
-		printTrace(*firstDefect)
+		fmt.Fprintf(out, "\npositive control — first defect without wrappers (%s): %v\n", defectLabel, *firstDefect)
+		printTrace(out, *firstDefect)
 	}
 	if err := closeGraph(); err != nil {
 		return err
@@ -168,7 +171,7 @@ func exploreMatrix(graphPath string, budget time.Duration, maxStates int) error 
 	if len(fails) > 0 {
 		return fmt.Errorf("explore: %s", strings.Join(fails, "; "))
 	}
-	fmt.Println("all wrapped product FSMs PROVED coherent over every reachable state; un-wrapped defects confirmed the controls")
+	fmt.Fprintln(out, "all wrapped product FSMs PROVED coherent over every reachable state; un-wrapped defects confirmed the controls")
 	return nil
 }
 
@@ -231,7 +234,7 @@ func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {
 				violated = true
 			}
 			fmt.Printf("  %d violation(s); first counterexample:\n", len(res.Violations))
-			printTrace(res.Violations[0])
+			printTrace(os.Stdout, res.Violations[0])
 		}
 	}
 	if err := closeGraph(); err != nil {
@@ -252,9 +255,9 @@ func protoOrMEI(k coherence.Kind) coherence.Kind {
 	return k
 }
 
-func printTrace(v explore.Violation) {
-	fmt.Printf("  %v\n", v)
+func printTrace(w io.Writer, v explore.Violation) {
+	fmt.Fprintf(w, "  %v\n", v)
 	for _, l := range v.Trace {
-		fmt.Printf("    %s\n", l)
+		fmt.Fprintf(w, "    %s\n", l)
 	}
 }

@@ -74,7 +74,7 @@ func main() {
 			}
 			fatalIf(exploreOne(kinds, *graphFlag, *maxStates))
 		} else {
-			fatalIf(exploreMatrix(*graphFlag, *budget, *maxStates))
+			fatalIf(exploreMatrix(os.Stdout, *graphFlag, *budget, *maxStates))
 		}
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -314,6 +315,43 @@ func TestGraphDump(t *testing.T) {
 	}
 	if int(n) != res.States {
 		t.Fatalf("dumped %d states, census says %d", n, res.States)
+	}
+}
+
+// failingWriter accepts n writes, then fails every later one.
+type failingWriter struct {
+	n int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errDiskFull
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestGraphDumpWriteError: a failing graph writer stops the sweep and its
+// error is returned from Explore, wrapped, instead of panicking.
+func TestGraphDumpWriteError(t *testing.T) {
+	for _, n := range []int{0, 3} {
+		w := &failingWriter{n: n}
+		res, err := Explore(Config{
+			Protocols: []coherence.Kind{coherence.MESI, coherence.MOESI},
+			Mode:      ModeWrapped,
+			Graph:     w,
+		})
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("fail after %d writes: err = %v, want the writer's error", n, err)
+		}
+		if res != nil {
+			t.Errorf("fail after %d writes: got a result alongside the error", n)
+		}
+		if w.n != 0 {
+			t.Errorf("fail after %d writes: sweep stopped early, %d writes unused", n, w.n)
+		}
 	}
 }
 
