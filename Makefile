@@ -36,10 +36,11 @@ vet:
 # Alloc-regression suite: AllocsPerRun pins of the zero-garbage hot path
 # (bus tick, ARTRY storm, snoop broadcast, event emit, metrics records,
 # event-scheduler wake structure, sharing collector).  Any nonzero allocs/op
-# in steady state fails.  The explorer's pins are per-sweep ceilings instead:
-# its BFS search allocates only for table growth and first-seen violations.
+# in steady state fails.  The abstract model's pins (core.Verify and the
+# explorer) are per-search ceilings instead: its BFS search allocates only
+# for table growth and first-seen violations.
 allocs:
-	$(GO) test -run TestAllocs -v ./internal/bus ./internal/event ./internal/metrics ./internal/span ./internal/sharing ./internal/sim ./internal/explore
+	$(GO) test -run TestAllocs -v ./internal/bus ./internal/event ./internal/metrics ./internal/span ./internal/sharing ./internal/sim ./internal/core ./internal/explore
 
 # Simulated-cycle benchmark suite (cmd/bench): 27 deterministic runs whose
 # cycle counts are machine-independent.  `make bench` refreshes BENCH_dev.json;

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -209,20 +210,7 @@ func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {
 		}
 		fmt.Println()
 		for i, states := range res.Reachable {
-			var names, gone []string
-			for _, s := range states {
-				names = append(names, s.String())
-			}
-			for _, s := range coherence.New(protoOrMEI(kinds[i])).States() {
-				if res.Eliminated(i, s) {
-					gone = append(gone, s.String())
-				}
-			}
-			fmt.Printf("  P%d (%v) reachable: {%s}", i, kinds[i], strings.Join(names, ","))
-			if len(gone) > 0 {
-				fmt.Printf("   eliminated: {%s}", strings.Join(gone, ","))
-			}
-			fmt.Println()
+			printReachable(os.Stdout, fmt.Sprintf("  P%d (%v)", i, kinds[i]), states, kinds[i], "eliminated")
 		}
 		switch {
 		case len(res.Violations) == 0 && mode == explore.ModeWrapped:
@@ -246,13 +234,27 @@ func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {
 	return nil
 }
 
-// protoOrMEI maps the coherence-less marker to the MEI machine its private
-// cache behaves as, for the eliminated-state display.
-func protoOrMEI(k coherence.Kind) coherence.Kind {
-	if k == coherence.None {
-		return coherence.MEI
+// printReachable prints one master's reachable state set, then the states of
+// its native protocol the search never reached (a coherence-less master's
+// private cache behaves as MEI).
+func printReachable(w io.Writer, head string, reachable []coherence.State, native coherence.Kind, goneLabel string) {
+	if native == coherence.None {
+		native = coherence.MEI
 	}
-	return k
+	var names, gone []string
+	for _, s := range reachable {
+		names = append(names, s.String())
+	}
+	for _, s := range coherence.New(native).States() {
+		if !slices.Contains(reachable, s) {
+			gone = append(gone, s.String())
+		}
+	}
+	fmt.Fprintf(w, "%s reachable: {%s}", head, strings.Join(names, ","))
+	if len(gone) > 0 {
+		fmt.Fprintf(w, "   %s: {%s}", goneLabel, strings.Join(gone, ","))
+	}
+	fmt.Fprintln(w)
 }
 
 func printTrace(w io.Writer, v explore.Violation) {

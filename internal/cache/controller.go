@@ -616,11 +616,7 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 	if out.Supply && !ctl.policy.AllowSupply() {
 		// Intervention suppressed: drain to memory and let the requester
 		// retry, as a non-MOESI requester cannot accept the transfer.
-		out.Supply = false
-		out.Flush = true
-		if out.Next == coherence.Owned {
-			out.Next = coherence.Shared
-		}
+		out = out.WithoutSupply()
 	}
 	// Emitted after supply suppression so the flags carry the resolved
 	// reaction; out.Next == Invalid covers the flush branch too (the line is

@@ -132,6 +132,21 @@ type SnoopOutcome struct {
 	Update bool
 }
 
+// WithoutSupply returns the outcome with cache-to-cache supply denied, as a
+// wrapper that prohibits interventions enforces it: a snooper that would
+// have supplied the line drains it to memory instead, and a copy that would
+// have stayed Owned drops to Shared.  An outcome that supplies nothing is
+// returned unchanged.
+func (o SnoopOutcome) WithoutSupply() SnoopOutcome {
+	if o.Supply {
+		o.Supply, o.Flush = false, true
+		if o.Next == Owned {
+			o.Next = Shared
+		}
+	}
+	return o
+}
+
 type writeHitEntry struct {
 	next State
 	op   BusOp

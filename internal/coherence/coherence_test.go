@@ -357,3 +357,20 @@ func TestDotIsWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// TestWithoutSupply: a denied supply becomes a flush and an Owned copy
+// drops to Shared; an outcome that supplies nothing is unchanged.
+func TestWithoutSupply(t *testing.T) {
+	for _, c := range []struct {
+		in, want SnoopOutcome
+	}{
+		{SnoopOutcome{Next: Owned, Supply: true, AssertShared: true}, SnoopOutcome{Next: Shared, Flush: true, AssertShared: true}},
+		{SnoopOutcome{Next: Invalid, Supply: true}, SnoopOutcome{Next: Invalid, Flush: true}},
+		{SnoopOutcome{Next: Owned, AssertShared: true}, SnoopOutcome{Next: Owned, AssertShared: true}},
+		{SnoopOutcome{Next: Invalid, Flush: true}, SnoopOutcome{Next: Invalid, Flush: true}},
+	} {
+		if got := c.in.WithoutSupply(); got != c.want {
+			t.Errorf("%+v.WithoutSupply() = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hetcc/internal/coherence"
@@ -34,7 +34,8 @@ func (p WrapperPolicy) ApplyShared(shared bool) bool {
 // entered a state outside the reduced protocol, or a read observed stale
 // data (the paper's Tables 2 and 3 failure mode).
 type Violation struct {
-	// Kind is "stale-read", "stale-fill" or "illegal-state".
+	// Kind is "stale-read", "stale-fill", "stale-write" or
+	// "illegal-state".
 	Kind string
 	// Processor is the index of the offending processor.
 	Processor int
@@ -63,63 +64,7 @@ type VerifyResult struct {
 
 // Eliminated reports whether state s was proven unreachable for processor i.
 func (r VerifyResult) Eliminated(i int, s coherence.State) bool {
-	for _, st := range r.Reachable[i] {
-		if st == s {
-			return false
-		}
-	}
-	return true
-}
-
-// snoopAllFunc is the snoop-broadcast closure used by the explorer.
-type snoopAllFunc func(s *vstate, requester int, op coherence.BusOp) (shared bool, fillFresh bool, updated []int)
-
-// dragonWriteHit applies a Dragon write hit on processor i: silent for
-// exclusive states, a bus update (with ownership resolution from the
-// shared signal) for shared ones.  It returns the processors whose copies
-// were updated in place.
-func dragonWriteHit(p *coherence.Protocol, pol WrapperPolicy, s *vstate, i int, snoopAll snoopAllFunc) []int {
-	next, op, needsBus, err := p.OnWriteHit(s.states[i])
-	if err != nil {
-		panic(err)
-	}
-	if !needsBus {
-		s.states[i] = next
-		return nil
-	}
-	if op != coherence.BusUpd {
-		panic(fmt.Sprintf("core: update-based write hit issued %v", op))
-	}
-	shared, _, updated := snoopAll(s, i, coherence.BusUpd)
-	s.states[i] = p.AfterUpdate(pol.ApplyShared(shared))
-	return updated
-}
-
-// vstate is the abstract joint state of one cache line across n processors:
-// the per-processor coherence state plus freshness bits tracking whether
-// each copy (and memory) holds the globally newest value.
-type vstate struct {
-	states   [maxProcs]coherence.State
-	fresh    [maxProcs]bool
-	memFresh bool
-	n        int
-}
-
-const maxProcs = 4
-
-func (v vstate) key() string {
-	b := make([]byte, 0, 2*v.n+1)
-	for i := 0; i < v.n; i++ {
-		b = append(b, byte(v.states[i]), boolByte(v.fresh[i]))
-	}
-	return string(append(b, boolByte(v.memFresh)))
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return !slices.Contains(r.Reachable[i], s)
 }
 
 // Verify exhaustively explores every interleaving of read/write/evict
@@ -127,214 +72,39 @@ func boolByte(b bool) byte {
 // the given wrapper policies, checking that
 //
 //  1. no processor enters a state outside AllowedStates(native, effective),
-//  2. every read (hit or fill) returns the globally newest value.
+//  2. every read (hit or fill) returns the globally newest value, and no
+//     write lands in a stale copy.
 //
 // Running it with passthrough policies on a heterogeneous mix reproduces
 // the staleness defects of the paper's Tables 2 and 3; running it with the
-// policies from Reduce proves the wrapper scheme sound for that mix.
+// policies from Reduce proves the wrapper scheme sound for that mix.  It is
+// a search of the shared abstract Model with no TAG-CAM masters, reporting
+// the four checks above; a snooper presented with an op outside its
+// protocol ignores it, and the stale copy surfaces as a violation.
 func Verify(protocols []coherence.Kind, policies []WrapperPolicy, effective coherence.Kind) (VerifyResult, error) {
-	n := len(protocols)
-	if n == 0 || n > maxProcs {
-		return VerifyResult{}, fmt.Errorf("core: verify supports 1..%d processors, got %d", maxProcs, n)
+	if len(policies) != len(protocols) {
+		return VerifyResult{}, fmt.Errorf("core: %d policies for %d processors", len(policies), len(protocols))
 	}
-	if len(policies) != n {
-		return VerifyResult{}, fmt.Errorf("core: %d policies for %d processors", len(policies), n)
+	if effective == coherence.None {
+		return VerifyResult{}, fmt.Errorf("core: verify needs a coherent effective protocol, got %v", effective)
 	}
-	protos := make([]*coherence.Protocol, n)
-	allowed := make([]map[coherence.State]bool, n)
+	m := Model{Masters: make([]ModelMaster, len(protocols)), Snooping: true}
 	for i, k := range protocols {
 		if k == coherence.None {
 			return VerifyResult{}, fmt.Errorf("core: verify models coherent processors only (P%d is None)", i)
 		}
-		protos[i] = coherence.New(k)
-		allowed[i] = make(map[coherence.State]bool)
-		for _, s := range AllowedStates(k, effective) {
-			allowed[i][s] = true
+		m.Masters[i] = ModelMaster{Protocol: k, Policy: policies[i], Allowed: AllowedStates(k, effective)}
+	}
+	c, err := m.Search()
+	if err != nil {
+		return VerifyResult{}, err
+	}
+	res := VerifyResult{Reachable: c.Reachable, Explored: c.States}
+	for _, v := range c.Violations {
+		switch v.Check {
+		case CheckStaleRead, CheckStaleFill, CheckStaleWrite, CheckIllegalState:
+			res.Violations = append(res.Violations, Violation{Kind: v.Check, Processor: v.Master, State: v.State, Trace: v.PathNames()})
 		}
-	}
-
-	reachable := make([]map[coherence.State]bool, n)
-	for i := range reachable {
-		reachable[i] = map[coherence.State]bool{coherence.Invalid: true}
-	}
-	var violations []Violation
-	seenViol := map[string]bool{}
-	report := func(kind string, proc int, st coherence.State, trace []string) {
-		k := fmt.Sprintf("%s/%d/%v", kind, proc, st)
-		if seenViol[k] {
-			return
-		}
-		seenViol[k] = true
-		tr := make([]string, len(trace))
-		copy(tr, trace)
-		violations = append(violations, Violation{Kind: kind, Processor: proc, State: st, Trace: tr})
-	}
-
-	init := vstate{n: n, memFresh: true}
-	type node struct {
-		st    vstate
-		trace []string
-	}
-	queue := []node{{st: init}}
-	visited := map[string]bool{init.key(): true}
-
-	// snoopAll presents op from requester to every other processor,
-	// returning the combined shared signal, the freshness of the data the
-	// requester will receive (memory or a supplier), and which processors
-	// applied a Dragon word update in place.
-	snoopAll := func(s *vstate, requester int, op coherence.BusOp) (shared bool, fillFresh bool, updated []int) {
-		fillFresh = s.memFresh
-		for j := 0; j < s.n; j++ {
-			if j == requester || s.states[j] == coherence.Invalid {
-				continue
-			}
-			seen := policies[j].SnoopOp(op)
-			out, err := protos[j].OnSnoop(s.states[j], seen)
-			if err != nil {
-				panic(err)
-			}
-			if out.Supply && !policies[j].AllowCacheToCache {
-				// Suppressed cache-to-cache: drain to memory instead.
-				out.Supply = false
-				out.Flush = true
-				if out.Next == coherence.Owned {
-					out.Next = coherence.Shared
-				}
-			}
-			if out.Flush {
-				s.memFresh = s.fresh[j]
-				fillFresh = s.memFresh
-			}
-			if out.Supply {
-				fillFresh = s.fresh[j]
-			}
-			if out.Update {
-				updated = append(updated, j)
-			}
-			shared = shared || out.AssertShared
-			s.states[j] = out.Next
-		}
-		return shared, fillFresh, updated
-	}
-
-	expand := func(cur vstate, trace []string) []node {
-		var out []node
-		add := func(ev string, next vstate) {
-			for i := 0; i < next.n; i++ {
-				reachable[i][next.states[i]] = true
-				if !allowed[i][next.states[i]] {
-					report("illegal-state", i, next.states[i], append(trace, ev))
-				}
-			}
-			k := next.key()
-			if !visited[k] {
-				visited[k] = true
-				out = append(out, node{st: next, trace: append(append([]string{}, trace...), ev)})
-			}
-		}
-
-		for i := 0; i < cur.n; i++ {
-			// --- Read by Pi ---
-			{
-				s := cur
-				ev := fmt.Sprintf("P%d.rd", i)
-				if s.states[i] != coherence.Invalid {
-					if !s.fresh[i] {
-						report("stale-read", i, s.states[i], append(trace, ev))
-					}
-				} else {
-					shared, fillFresh, _ := snoopAll(&s, i, coherence.BusRd)
-					st := protos[i].FillStateAfterRead(policies[i].ApplyShared(shared))
-					s.states[i] = st
-					s.fresh[i] = fillFresh
-					if !fillFresh {
-						report("stale-fill", i, st, append(trace, ev))
-					}
-				}
-				add(ev, s)
-			}
-			// --- Write by Pi ---
-			{
-				s := cur
-				ev := fmt.Sprintf("P%d.wr", i)
-				var updated []int
-				if s.states[i] == coherence.Invalid {
-					if protos[i].UpdateBased() {
-						// Dragon write miss: fill with a read, then write
-						// like a hit.
-						shared, fillFresh, _ := snoopAll(&s, i, coherence.BusRd)
-						st := protos[i].FillStateAfterRead(policies[i].ApplyShared(shared))
-						if !fillFresh {
-							report("stale-fill", i, st, append(trace, ev))
-						}
-						s.states[i] = st
-						s.fresh[i] = fillFresh
-						updated = append(updated, dragonWriteHit(protos[i], policies[i], &s, i, snoopAll)...)
-					} else {
-						_, _, _ = snoopAll(&s, i, coherence.BusRdX)
-						s.states[i] = protos[i].FillStateAfterWrite()
-					}
-				} else {
-					if !s.fresh[i] {
-						// Writing one word into a line whose other words
-						// are stale corrupts the line.
-						report("stale-write", i, s.states[i], append(trace, ev))
-					}
-					if protos[i].UpdateBased() {
-						updated = append(updated, dragonWriteHit(protos[i], policies[i], &s, i, snoopAll)...)
-					} else {
-						next, _, needsBus, err := protos[i].OnWriteHit(s.states[i])
-						if err != nil {
-							panic(err)
-						}
-						if needsBus {
-							_, _, _ = snoopAll(&s, i, coherence.BusUpgr)
-						}
-						s.states[i] = next
-					}
-				}
-				// The write creates the globally newest value; processors
-				// that applied a bus update received it too.
-				for j := 0; j < s.n; j++ {
-					s.fresh[j] = j == i
-				}
-				for _, j := range updated {
-					s.fresh[j] = true
-				}
-				s.memFresh = false
-				add(ev, s)
-			}
-			// --- Eviction by Pi ---
-			if cur.states[i] != coherence.Invalid {
-				s := cur
-				ev := fmt.Sprintf("P%d.ev", i)
-				if s.states[i].Dirty() {
-					s.memFresh = s.fresh[i]
-				}
-				s.states[i] = coherence.Invalid
-				add(ev, s)
-			}
-		}
-		return out
-	}
-
-	explored := 0
-	for len(queue) > 0 {
-		nd := queue[0]
-		queue = queue[1:]
-		explored++
-		queue = append(queue, expand(nd.st, nd.trace)...)
-	}
-
-	res := VerifyResult{Explored: explored, Violations: violations}
-	res.Reachable = make([][]coherence.State, n)
-	for i := range reachable {
-		var sts []coherence.State
-		for s := range reachable[i] {
-			sts = append(sts, s)
-		}
-		sort.Slice(sts, func(a, b int) bool { return sts[a] < sts[b] })
-		res.Reachable[i] = sts
 	}
 	return res, nil
 }

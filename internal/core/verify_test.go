@@ -180,7 +180,10 @@ func TestVerifyInputValidation(t *testing.T) {
 	if _, err := Verify([]coherence.Kind{coherence.None}, passthrough(1), coherence.MEI); err == nil {
 		t.Error("None processor accepted")
 	}
-	if _, err := Verify(make([]coherence.Kind, maxProcs+1), make([]WrapperPolicy, maxProcs+1), coherence.MEI); err == nil {
+	if _, err := Verify([]coherence.Kind{coherence.MEI}, passthrough(1), coherence.None); err == nil {
+		t.Error("None effective protocol accepted")
+	}
+	if _, err := Verify(make([]coherence.Kind, ModelMasters+1), make([]WrapperPolicy, ModelMasters+1), coherence.MEI); err == nil {
 		t.Error("too many processors accepted")
 	}
 }
@@ -257,5 +260,25 @@ func TestReduceRejectsDragonMixes(t *testing.T) {
 		if _, err := Reduce(protos); err == nil {
 			t.Errorf("Reduce(%v) accepted an update-based mix", protos)
 		}
+	}
+}
+
+// TestVerifyIgnoredOpGoesStale: a passthrough Dragon+MESI system presents
+// the MESI snooper a BusUpd outside its protocol.  The snooper ignores it,
+// its copy goes stale, and Verify reports the resulting violations instead
+// of panicking.
+func TestVerifyIgnoredOpGoesStale(t *testing.T) {
+	res, err := Verify([]coherence.Kind{coherence.Dragon, coherence.MESI}, passthrough(2), coherence.MESI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, v := range res.Violations {
+		if v.Kind == CheckStaleRead && v.Processor == 1 {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no stale read at the MESI processor; got %v", res.Violations)
 	}
 }

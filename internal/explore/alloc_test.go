@@ -14,7 +14,7 @@ import (
 // many times over and fails here.
 
 // TestAllocsExploreCleanSweep pins a violation-free wrapped 3-master sweep
-// (measured: 47 allocs).
+// (measured: 50 allocs).
 func TestAllocsExploreCleanSweep(t *testing.T) {
 	cfg := Config{Protocols: []coherence.Kind{coherence.MESI, coherence.MOESI, coherence.MSI}, Mode: ModeWrapped}
 	assertExploreAllocs(t, cfg, 75)
@@ -22,7 +22,7 @@ func TestAllocsExploreCleanSweep(t *testing.T) {
 
 // TestAllocsExploreViolationSweep pins a violation-heavy no-snoop 3-master
 // sweep, where every repeat sighting of a violation must cost no allocation
-// (measured: 891 allocs, nearly all the paths and traces of the first
+// (measured: 801 allocs, nearly all the paths and traces of the first
 // sightings).
 func TestAllocsExploreViolationSweep(t *testing.T) {
 	cfg := Config{Protocols: []coherence.Kind{coherence.MEI, coherence.None, coherence.MESI}, Mode: ModeNoSnoop}

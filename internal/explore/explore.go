@@ -1,11 +1,12 @@
-// Package explore implements an exhaustive breadth-first reachability
-// explorer over an abstract model of the coherence substrate: N bus masters
-// (each running any protocol from {MEI, MSI, MESI, MOESI, Dragon, none}
-// behind its wrapper or TAG-CAM snoop logic), one cache line with symbolic
-// data, and a nondeterministic action alphabet — local read, local write,
-// eviction / software cache-op — expressed as guarded actions that mirror
-// the transition rules of internal/coherence, internal/core and
-// internal/snooplogic (the latter via its exported Table).
+// Package explore runs the exhaustive breadth-first reachability search of
+// core's abstract coherence model — N bus masters (each running any protocol
+// from {MEI, MSI, MESI, MOESI, Dragon, none} behind its wrapper or TAG-CAM
+// snoop logic), one cache line with symbolic data, and a nondeterministic
+// action alphabet of local read, local write and eviction — under each
+// hardware wiring of internal/platform, and renders its census,
+// counterexample replays and state-graph dumps.  The transition relation is
+// core.Model's, the same one core.Verify searches; this package maps a Mode
+// to the model's parameters.
 //
 // Every state generated during the search is checked against the same
 // invariants the online auditor of internal/audit enforces on live runs —
@@ -29,31 +30,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
-	"hetcc/internal/audit"
 	"hetcc/internal/coherence"
 	"hetcc/internal/core"
 )
 
-// Check names used in Violation.Check.  The first four are shared with the
-// online auditor so violations correlate across the two verifiers; the rest
-// are model-only refinements (the auditor sees a stale read only at the read,
-// the model also flags the stale fill/write that caused it) plus the TAG-CAM
-// mirror property the auditor cannot observe.
-const (
-	CheckSWMR         = audit.CheckSWMR
-	CheckDirtyOwner   = audit.CheckDirtyOwner
-	CheckStaleRead    = audit.CheckStaleRead
-	CheckIllegalState = audit.CheckIllegalState
-	CheckStaleFill    = "stale-fill"
-	CheckStaleWrite   = "stale-write"
-	CheckCAMMirror    = "cam-mirror"
-)
-
 // Mode selects which coherence hardware the model includes, matching the
-// wiring variants of internal/platform.
+// wiring variants of internal/platform.  Explore maps it to the model's
+// parameters: ModeWrapped gives every master its core.Reduce policy,
+// ModeUnwired gives every master WrapperPolicy{Shared: SharedForceDeassert},
+// and ModeNoSnoop removes snooping altogether.
 type Mode uint8
 
 const (
@@ -88,8 +77,8 @@ func (m Mode) String() string {
 	}
 }
 
-// MaxMasters bounds the model size (the canonical state key packs 6 bits per
-// master plus one memory bit).
+// MaxMasters bounds the explored master count.  The model itself holds
+// core.ModelMasters; the explorer's bound is the size of the proof it runs.
 const MaxMasters = 3
 
 // DefaultMaxStates bounds the visited set when Config.MaxStates is zero.
@@ -121,6 +110,7 @@ type Config struct {
 // action, re-executed through the model's step function, so a printed trace
 // is by construction reproducible).
 type Violation struct {
+	// Check is one of the model's check names (core.CheckSWMR, ...).
 	Check  string
 	Master int
 	State  coherence.State
@@ -159,12 +149,7 @@ type Result struct {
 
 // Contains reports whether master i was seen holding state s.
 func (r *Result) Contains(i int, s coherence.State) bool {
-	for _, st := range r.Reachable[i] {
-		if st == s {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.Reachable[i], s)
 }
 
 // Eliminated reports whether state s of master i's native protocol was
@@ -172,106 +157,6 @@ func (r *Result) Contains(i int, s coherence.State) bool {
 func (r *Result) Eliminated(i int, s coherence.State) bool {
 	return !r.Contains(i, s)
 }
-
-// lineState is the abstract joint state of the one modelled cache line:
-// per-master coherence state, a freshness bit (the copy holds the globally
-// newest value), a TAG-CAM residency bit for masters behind snoop logic, and
-// the memory freshness bit.
-type lineState struct {
-	cache    [MaxMasters]coherence.State
-	fresh    [MaxMasters]bool
-	cam      [MaxMasters]bool
-	memFresh bool
-}
-
-func bit(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// key packs the state canonically: 6 bits per master (3 state, 1 fresh,
-// 1 cam, 1 spare) plus the memory bit.
-func (s lineState) key(n int) uint32 {
-	k := uint32(0)
-	for i := 0; i < n; i++ {
-		k = k<<6 | uint32(s.cache[i])<<2 | bit(s.fresh[i])<<1 | bit(s.cam[i])
-	}
-	return k<<1 | bit(s.memFresh)
-}
-
-// actKind enumerates the local action alphabet; bus transactions, snoop
-// responses and wrapper conversions are consequences inside step, mirroring
-// how the real kernel derives them from CPU accesses.
-type actKind uint8
-
-const (
-	actRead actKind = iota
-	actWrite
-	actEvict
-)
-
-// actKinds is the action alphabet every master is offered in every state.
-var actKinds = [...]actKind{actRead, actWrite, actEvict}
-
-type action struct {
-	master int
-	kind   actKind
-}
-
-func (a action) String() string {
-	p := "P" + strconv.Itoa(a.master)
-	switch a.kind {
-	case actRead:
-		return p + ".rd"
-	case actWrite:
-		return p + ".wr"
-	default:
-		return p + ".ev"
-	}
-}
-
-// stepViolation is a breach detected while applying or checking one state.
-// It is comparable, and is the key that deduplicates Result.Violations.
-type stepViolation struct {
-	check  string
-	master int
-	state  coherence.State
-}
-
-type explorer struct {
-	cfg       Config
-	n         int
-	native    []coherence.Kind
-	protos    []*coherence.Protocol
-	policies  []core.WrapperPolicy
-	snoopCAM  []bool // master is behind TAG-CAM snoop logic
-	allowed   [MaxMasters][numStates]bool
-	effective coherence.Kind
-	maxStates int
-
-	// BFS bookkeeping: states in discovery order, canonical key → id, and
-	// one (parent, action) edge per state for counterexample reconstruction.
-	states  []lineState
-	ids     map[uint32]int32
-	parents []int32
-	acts    []action
-
-	transitions  int
-	frontierPeak int
-	dropped      int
-
-	reachable  [MaxMasters][numStates]bool
-	seenViol   map[stepViolation]bool
-	violations []Violation
-
-	// viols is the per-edge violation buffer, reused across edges.
-	viols []stepViolation
-}
-
-// numStates sizes the per-master state sets: coherence.State runs I<S<E<M<O.
-const numStates = int(coherence.Owned) + 1
 
 // Explore runs the breadth-first sweep for cfg.  In ModeWrapped the wrapper
 // policies come from core.Reduce, so a mix the paper's method rejects (any
@@ -281,213 +166,97 @@ func Explore(cfg Config) (*Result, error) {
 	if n < 1 || n > MaxMasters {
 		return nil, fmt.Errorf("explore: 1..%d masters supported, got %d", MaxMasters, n)
 	}
-	e := &explorer{
-		cfg:       cfg,
-		n:         n,
-		native:    append([]coherence.Kind(nil), cfg.Protocols...),
-		protos:    make([]*coherence.Protocol, n),
-		policies:  make([]core.WrapperPolicy, n),
-		snoopCAM:  make([]bool, n),
-		maxStates: cfg.MaxStates,
-		ids:       make(map[uint32]int32),
-		seenViol:  make(map[stepViolation]bool),
+	m := core.Model{
+		Masters:   make([]core.ModelMaster, n),
+		Snooping:  cfg.Mode != ModeNoSnoop,
+		Strict:    cfg.Mode == ModeWrapped,
+		MaxStates: cfg.MaxStates,
 	}
-	if e.maxStates <= 0 {
-		e.maxStates = DefaultMaxStates
+	if m.MaxStates <= 0 {
+		m.MaxStates = DefaultMaxStates
 	}
+	var integ core.Integration
 	if cfg.Mode == ModeWrapped {
-		integ, err := core.Reduce(cfg.Protocols)
-		if err != nil {
+		var err error
+		if integ, err = core.Reduce(cfg.Protocols); err != nil {
 			return nil, err
 		}
-		e.policies = integ.Policies
-		e.effective = integ.Effective
 	}
 	for i, k := range cfg.Protocols {
-		pk := k
-		if k == coherence.None {
-			// A coherence-less master drives an MEI-like private cache; in
-			// the snooping modes the external TAG CAM shadows it.
-			pk = coherence.MEI
-			e.snoopCAM[i] = cfg.Mode != ModeNoSnoop
+		mm := core.ModelMaster{Protocol: k, Allowed: core.AllowedStates(k, k)}
+		switch cfg.Mode {
+		case ModeWrapped:
+			mm.Policy = integ.Policies[i]
+			mm.Allowed = core.AllowedStates(k, integ.Effective)
+		case ModeUnwired:
+			// The shared line is unwired across protocol conventions and
+			// cache-to-cache supply is off.
+			mm.Policy = core.WrapperPolicy{Shared: core.SharedForceDeassert}
 		}
-		e.protos[i] = coherence.New(pk)
-		eff := k
-		if cfg.Mode == ModeWrapped {
-			eff = e.effective
-		}
-		for _, s := range core.AllowedStates(k, eff) {
-			e.allowed[i][s] = true
-		}
-		e.reachable[i][coherence.Invalid] = true
+		m.Masters[i] = mm
 	}
-	if err := e.run(); err != nil {
+	if cfg.Graph != nil {
+		m.Visit = func(id int32, s core.LineState, edges []core.Edge) error {
+			return dumpState(cfg.Graph, cfg.Protocols, id, s, edges)
+		}
+	}
+	c, err := m.Search()
+	if err != nil {
 		return nil, err
 	}
-	return e.result(), nil
-}
-
-// run is the breadth-first search.  It renders no strings: edge labels are
-// built only for the graph dump, and paths and traces only for the first
-// sighting of each violation.
-func (e *explorer) run() error {
-	init := lineState{memFresh: true}
-	e.states = []lineState{init}
-	e.ids[init.key(e.n)] = 0
-	e.parents = []int32{-1}
-	e.acts = []action{{}}
-	e.report(0, e.checkState(init, nil))
-
-	var parts *[]string
-	var edges []graphEdge
-	if e.cfg.Graph != nil {
-		parts = new([]string)
+	res := &Result{
+		Protocols:    append([]coherence.Kind(nil), cfg.Protocols...),
+		Mode:         cfg.Mode,
+		Effective:    integ.Effective,
+		States:       c.States,
+		Transitions:  c.Transitions,
+		FrontierPeak: c.FrontierPeak,
+		Dropped:      c.Dropped,
+		Complete:     c.Dropped == 0,
+		Reachable:    c.Reachable,
 	}
-	head := 0
-	for head < len(e.states) {
-		if f := len(e.states) - head; f > e.frontierPeak {
-			e.frontierPeak = f
-		}
-		id := int32(head)
-		cur := e.states[head]
-		head++
-
-		edges = edges[:0]
-		for m := 0; m < e.n; m++ {
-			for _, k := range actKinds {
-				a := action{master: m, kind: k}
-				if k == actEvict && cur.cache[m] == coherence.Invalid {
-					continue
-				}
-				next, viols, label := e.step(cur, a, e.viols[:0], parts)
-				e.transitions++
-				nid := e.intern(next, id, a)
-				for i := 0; i < e.n; i++ {
-					e.reachable[i][next.cache[i]] = true
-				}
-				// Invariants are checked on every generated successor —
-				// including revisits and states beyond the bound — so a
-				// breach is never masked by deduplication or overflow.
-				viols = e.checkState(next, viols)
-				e.reportVia(id, a, viols)
-				e.viols = viols
-				if e.cfg.Graph != nil {
-					edges = append(edges, graphEdge{Action: a.String(), Label: label, To: nid})
-				}
-			}
-		}
-		if e.cfg.Graph != nil {
-			if err := e.dumpState(id, cur, edges); err != nil {
-				return err
-			}
-		}
+	for _, v := range c.Violations {
+		res.Violations = append(res.Violations, Violation{
+			Check:  v.Check,
+			Master: v.Master,
+			State:  v.State,
+			Path:   v.PathNames(),
+			Trace:  replay(c, n, v.Path),
+		})
 	}
-	return nil
-}
-
-// intern returns the id of state s, discovering it if new; -1 if the visited
-// set is full (the state is counted as dropped, not expanded).
-func (e *explorer) intern(s lineState, parent int32, a action) int32 {
-	k := s.key(e.n)
-	if id, ok := e.ids[k]; ok {
-		return id
-	}
-	if len(e.states) >= e.maxStates {
-		e.dropped++
-		return -1
-	}
-	id := int32(len(e.states))
-	e.ids[k] = id
-	e.states = append(e.states, s)
-	e.parents = append(e.parents, parent)
-	e.acts = append(e.acts, a)
-	return id
-}
-
-// pathTo reconstructs the discovery path of state id from the parent edges.
-func (e *explorer) pathTo(id int32) []action {
-	var rev []action
-	for id > 0 {
-		rev = append(rev, e.acts[id])
-		id = e.parents[id]
-	}
-	out := make([]action, len(rev))
-	for i, a := range rev {
-		out[len(rev)-1-i] = a
-	}
-	return out
-}
-
-// report records violations found in state id itself (the initial state).
-func (e *explorer) report(id int32, viols []stepViolation) {
-	for _, v := range viols {
-		if !e.seenViol[v] {
-			e.record(v, e.pathTo(id))
-		}
-	}
-}
-
-// reportVia records violations exposed by applying a to state parent.  A
-// violation already recorded costs one map lookup: the path is rebuilt only
-// for a first sighting.
-func (e *explorer) reportVia(parent int32, a action, viols []stepViolation) {
-	for _, v := range viols {
-		if !e.seenViol[v] {
-			e.record(v, append(e.pathTo(parent), a))
-		}
-	}
-}
-
-// record stores the first sighting of v, reached by path.
-func (e *explorer) record(v stepViolation, path []action) {
-	e.seenViol[v] = true
-	names := make([]string, len(path))
-	for i, a := range path {
-		names[i] = a.String()
-	}
-	e.violations = append(e.violations, Violation{
-		Check:  v.check,
-		Master: v.master,
-		State:  v.state,
-		Path:   names,
-		Trace:  e.replay(path),
-	})
+	return res, nil
 }
 
 // replay re-executes the guarded-action path from the initial state through
-// the same step function the search uses, rendering one line per action.
-func (e *explorer) replay(path []action) []string {
-	s := lineState{memFresh: true}
-	lines := []string{"init                          " + e.render(s)}
-	var parts []string
-	for _, a := range path {
-		next, _, label := e.step(s, a, nil, &parts)
-		lines = append(lines, fmt.Sprintf("%-30s%s", label, e.render(next)))
-		s = next
-	}
+// the model's step function, rendering one line per action.
+func replay(c *core.Census, n int, path []core.Action) []string {
+	lines := []string{"init                          " + render(core.LineState{MemFresh: true}, n)}
+	c.Replay(path, func(label string, s core.LineState) {
+		lines = append(lines, fmt.Sprintf("%-30s%s", label, render(s, n)))
+	})
 	return lines
 }
 
 // render prints a state: per-master coherence state, '*' marks a copy
 // holding the globally newest value, '+' marks a TAG-CAM entry.
-func (e *explorer) render(s lineState) string {
+func render(s core.LineState, n int) string {
 	var b strings.Builder
-	for i := 0; i < e.n; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
 		b.WriteByte('P')
 		b.WriteString(strconv.Itoa(i))
 		b.WriteByte(':')
-		b.WriteString(s.cache[i].String())
-		if s.fresh[i] {
+		b.WriteString(s.Cache[i].String())
+		if s.Fresh[i] {
 			b.WriteByte('*')
 		}
-		if s.cam[i] {
+		if s.CAM[i] {
 			b.WriteByte('+')
 		}
 	}
-	if s.memFresh {
+	if s.MemFresh {
 		b.WriteString(" mem*")
 	} else {
 		b.WriteString(" mem")
@@ -495,343 +264,12 @@ func (e *explorer) render(s lineState) string {
 	return b.String()
 }
 
-// checkState evaluates the state invariants — reduction-table membership,
-// SWMR, single dirty owner, and the TAG-CAM mirror property — appending any
-// breach to out.
-func (e *explorer) checkState(s lineState, out []stepViolation) []stepViolation {
-	writers, dirties, valid := 0, 0, 0
-	writerIdx, dirtyIdx := -1, -1
-	for i := 0; i < e.n; i++ {
-		st := s.cache[i]
-		if !e.allowed[i][st] {
-			out = append(out, stepViolation{CheckIllegalState, i, st})
-		}
-		if e.snoopCAM[i] && st != coherence.Invalid && !s.cam[i] {
-			out = append(out, stepViolation{CheckCAMMirror, i, st})
-		}
-		if st == coherence.Invalid {
-			continue
-		}
-		valid++
-		if st == coherence.Exclusive || st == coherence.Modified {
-			writers++
-			writerIdx = i
-		}
-		if st.Dirty() {
-			dirties++
-			dirtyIdx = i
-		}
-	}
-	if writers > 1 || (writers == 1 && valid > 1) {
-		out = append(out, stepViolation{CheckSWMR, writerIdx, s.cache[writerIdx]})
-	}
-	if dirties > 1 {
-		out = append(out, stepViolation{CheckDirtyOwner, dirtyIdx, s.cache[dirtyIdx]})
-	}
-	return out
-}
-
-// step applies action a to state s, returning the successor and viols with
-// any data-value violations the action exposed appended.  When parts is
-// non-nil, step also returns a label listing the guarded actions that fired
-// (bus op, wrapper conversions, snoop reactions, ISR drains), reusing *parts
-// to collect the snoop reactions; with parts nil — the search path — it
-// renders nothing and the label is empty.
-func (e *explorer) step(s lineState, a action, viols []stepViolation, parts *[]string) (lineState, []stepViolation, string) {
-	i := a.master
-	if parts != nil {
-		*parts = (*parts)[:0]
-	}
-
-	switch a.kind {
-	case actRead:
-		if s.cache[i] != coherence.Invalid {
-			if !s.fresh[i] {
-				viols = append(viols, stepViolation{CheckStaleRead, i, s.cache[i]})
-			}
-			return s, viols, label(a, "hit", parts)
-		}
-		shared, fillFresh, _ := e.broadcast(&s, i, coherence.BusRd, parts)
-		st := e.protos[i].FillStateAfterRead(e.sampleShared(i, shared))
-		s.cache[i] = st
-		s.fresh[i] = fillFresh
-		if e.snoopCAM[i] {
-			s.cam[i] = true
-		}
-		if !fillFresh {
-			viols = append(viols, stepViolation{CheckStaleFill, i, st})
-		}
-		return s, viols, label(a, "BusRd", parts)
-
-	case actWrite:
-		var updated uint8
-		op := ""
-		if s.cache[i] == coherence.Invalid {
-			if e.protos[i].UpdateBased() {
-				// Dragon write miss: fill with a read, then write like a hit.
-				shared, fillFresh, _ := e.broadcast(&s, i, coherence.BusRd, parts)
-				st := e.protos[i].FillStateAfterRead(e.sampleShared(i, shared))
-				if !fillFresh {
-					viols = append(viols, stepViolation{CheckStaleFill, i, st})
-				}
-				s.cache[i] = st
-				s.fresh[i] = fillFresh
-				var broadcast bool
-				updated, broadcast = e.dragonWrite(&s, i, parts)
-				op = "BusRd"
-				if broadcast {
-					op = "BusRd+BusUpd"
-				}
-			} else {
-				e.broadcast(&s, i, coherence.BusRdX, parts)
-				s.cache[i] = e.protos[i].FillStateAfterWrite()
-				if e.snoopCAM[i] {
-					s.cam[i] = true
-				}
-				op = "BusRdX"
-			}
-		} else {
-			if !s.fresh[i] {
-				// Writing one word into a line whose other words are stale
-				// corrupts the line.
-				viols = append(viols, stepViolation{CheckStaleWrite, i, s.cache[i]})
-			}
-			if e.protos[i].UpdateBased() {
-				var broadcast bool
-				updated, broadcast = e.dragonWrite(&s, i, parts)
-				op = "hit"
-				if broadcast {
-					op = "BusUpd"
-				}
-			} else {
-				next, _, needsBus, err := e.protos[i].OnWriteHit(s.cache[i])
-				if err != nil {
-					panic(err)
-				}
-				if needsBus {
-					e.broadcast(&s, i, coherence.BusUpgr, parts)
-					op = "BusUpgr"
-				} else {
-					op = "hit"
-				}
-				s.cache[i] = next
-			}
-		}
-		// The write creates the globally newest value; masters that applied
-		// a Dragon bus update received it too.
-		for j := 0; j < e.n; j++ {
-			s.fresh[j] = j == i || updated&(1<<j) != 0
-		}
-		s.memFresh = false
-		return s, viols, label(a, op, parts)
-
-	default: // actEvict
-		op := "silent"
-		if s.cache[i].Dirty() {
-			// Dirty copy: the write-back makes memory as fresh as the copy
-			// was, and the snoop logic observes the WriteLine.
-			s.memFresh = s.fresh[i]
-			if e.snoopCAM[i] {
-				s.cam[i] = false
-			}
-			op = "wb"
-		}
-		// A clean drop is invisible on the bus: a TAG-CAM entry stays
-		// behind, stale (snooplogic Table rule "foreign-hit" then finds
-		// nothing to drain — the spurious-hit path).
-		s.cache[i] = coherence.Invalid
-		return s, viols, label(a, op, parts)
-	}
-}
-
-// label renders a step's label from its action, bus op and snoop reactions;
-// empty when parts is nil.
-func label(a action, op string, parts *[]string) string {
-	if parts == nil {
-		return ""
-	}
-	l := a.String() + " " + op
-	if len(*parts) > 0 {
-		l += "[" + strings.Join(*parts, " ") + "]"
-	}
-	return l
-}
-
-// note appends one snoop-reaction part when labels are being rendered.
-func note(parts *[]string, format string, args ...any) {
-	if parts != nil {
-		*parts = append(*parts, fmt.Sprintf(format, args...))
-	}
-}
-
-// sampleShared maps the combined snoop shared signal to what master i's fill
-// actually samples: the wrapper override in ModeWrapped, nothing in the
-// other modes (ModeUnwired leaves the shared line unwired across protocol
-// conventions; ModeNoSnoop has no snoopers to assert it).
-func (e *explorer) sampleShared(i int, shared bool) bool {
-	if e.cfg.Mode == ModeWrapped {
-		return e.policies[i].ApplyShared(shared)
-	}
-	return false
-}
-
-// broadcast presents op from requester to every other master, mutating s
-// with the snoop reactions (noted in parts when non-nil), and returns the
-// combined shared signal, the freshness of the data the requester will
-// receive (from memory or a supplier), and the set of masters (bit j for
-// master j) that applied a Dragon word update in place.
-func (e *explorer) broadcast(s *lineState, req int, op coherence.BusOp, parts *[]string) (shared, fillFresh bool, updated uint8) {
-	fillFresh = s.memFresh
-	for j := 0; j < e.n; j++ {
-		if j == req || e.cfg.Mode == ModeNoSnoop {
-			continue
-		}
-		if e.snoopCAM[j] {
-			if !s.cam[j] {
-				continue
-			}
-			// TAG-CAM match: ARTRY + nFIQ + ISR, collapsed into one atomic
-			// guarded action (the retried transaction proceeds only after
-			// Complete, so no other action can interleave).  The ISR drains
-			// a modified line or invalidates a clean one; a stale entry is a
-			// spurious hit (snooplogic Table rules foreign-hit → isr-drain-
-			// writeback/isr-complete).
-			switch {
-			case s.cache[j].Dirty():
-				s.memFresh = s.fresh[j]
-				fillFresh = s.memFresh
-				note(parts, "P%d:isr-drain", j)
-			case s.cache[j] != coherence.Invalid:
-				note(parts, "P%d:isr-inval", j)
-			default:
-				note(parts, "P%d:isr-spurious", j)
-			}
-			s.cache[j] = coherence.Invalid
-			s.cam[j] = false
-			continue
-		}
-		if s.cache[j] == coherence.Invalid {
-			continue
-		}
-		seen := op
-		if e.cfg.Mode == ModeWrapped {
-			seen = e.policies[j].SnoopOp(op)
-		}
-		out, err := e.protos[j].OnSnoop(s.cache[j], seen)
-		if err != nil {
-			if e.cfg.Mode == ModeWrapped {
-				// A reduced system never presents an op outside the
-				// snooper's protocol; reaching here is a model bug.
-				panic(err)
-			}
-			// An un-integrated snooper ignores an op outside its protocol
-			// (a Dragon BusUpd means nothing to an invalidation snooper):
-			// the copy silently goes stale — the defect the positive
-			// control demonstrates.
-			note(parts, "P%d:ignores-%v", j, seen)
-			continue
-		}
-		if out.Supply && (e.cfg.Mode != ModeWrapped || !e.policies[j].AllowCacheToCache) {
-			// Suppressed cache-to-cache: drain to memory instead.
-			out.Supply = false
-			out.Flush = true
-			if out.Next == coherence.Owned {
-				out.Next = coherence.Shared
-			}
-		}
-		if out.Flush {
-			s.memFresh = s.fresh[j]
-			fillFresh = s.memFresh
-		}
-		if out.Supply {
-			fillFresh = s.fresh[j]
-		}
-		if out.Update {
-			updated |= 1 << j
-		}
-		shared = shared || out.AssertShared
-		e.describeSnoop(parts, j, s.cache[j], out, seen != op)
-		s.cache[j] = out.Next
-	}
-	return shared, fillFresh, updated
-}
-
-func (e *explorer) describeSnoop(parts *[]string, j int, old coherence.State, out coherence.SnoopOutcome, converted bool) {
-	if parts == nil {
-		return
-	}
-	tags := ""
-	if converted {
-		tags += "~conv"
-	}
-	if out.Flush {
-		tags += "~flush"
-	}
-	if out.Supply {
-		tags += "~supply"
-	}
-	if out.Update {
-		tags += "~upd"
-	}
-	if out.AssertShared {
-		tags += "~shd"
-	}
-	if old == out.Next && tags == "" {
-		return
-	}
-	*parts = append(*parts, fmt.Sprintf("P%d:%v>%v%s", j, old, out.Next, tags))
-}
-
-// dragonWrite applies an update-based write hit on master i: silent for
-// exclusive states, a BusUpd broadcast (with ownership resolved from the
-// sampled shared signal) for shared ones.  It returns the set of masters
-// whose copies were updated in place and whether a broadcast happened.
-func (e *explorer) dragonWrite(s *lineState, i int, parts *[]string) (uint8, bool) {
-	next, op, needsBus, err := e.protos[i].OnWriteHit(s.cache[i])
-	if err != nil {
-		panic(err)
-	}
-	if !needsBus {
-		s.cache[i] = next
-		return 0, false
-	}
-	if op != coherence.BusUpd {
-		panic(fmt.Sprintf("explore: update-based write hit issued %v", op))
-	}
-	shared, _, updated := e.broadcast(s, i, coherence.BusUpd, parts)
-	s.cache[i] = e.protos[i].AfterUpdate(e.sampleShared(i, shared))
-	return updated, true
-}
-
-func (e *explorer) result() *Result {
-	r := &Result{
-		Protocols:    e.native,
-		Mode:         e.cfg.Mode,
-		Effective:    e.effective,
-		States:       len(e.states),
-		Transitions:  e.transitions,
-		FrontierPeak: e.frontierPeak,
-		Dropped:      e.dropped,
-		Complete:     e.dropped == 0,
-		Violations:   e.violations,
-	}
-	r.Reachable = make([][]coherence.State, e.n)
-	for i := range r.Reachable {
-		for s, ok := range e.reachable[i] {
-			if ok {
-				r.Reachable[i] = append(r.Reachable[i], coherence.State(s))
-			}
-		}
-	}
-	return r
-}
-
 // graphState is one JSONL record of the state-graph dump.
 type graphState struct {
 	ID       int32         `json:"id"`
 	Masters  []graphMaster `json:"masters"`
 	MemFresh bool          `json:"mem_fresh"`
-	Edges    []graphEdge   `json:"edges,omitempty"`
+	Edges    []core.Edge   `json:"edges,omitempty"`
 }
 
 type graphMaster struct {
@@ -841,24 +279,16 @@ type graphMaster struct {
 	CAM      bool   `json:"cam,omitempty"`
 }
 
-// graphEdge is one guarded-action edge; To is -1 when the successor was
-// dropped by the MaxStates bound.
-type graphEdge struct {
-	Action string `json:"action"`
-	Label  string `json:"label,omitempty"`
-	To     int32  `json:"to"`
-}
-
 // dumpState writes state id's graph record; a write failure ends the sweep
 // and is returned from Explore.
-func (e *explorer) dumpState(id int32, s lineState, edges []graphEdge) error {
-	rec := graphState{ID: id, MemFresh: s.memFresh, Edges: edges}
-	for i := 0; i < e.n; i++ {
+func dumpState(w io.Writer, protocols []coherence.Kind, id int32, s core.LineState, edges []core.Edge) error {
+	rec := graphState{ID: id, MemFresh: s.MemFresh, Edges: edges}
+	for i, k := range protocols {
 		rec.Masters = append(rec.Masters, graphMaster{
-			Protocol: e.native[i].String(),
-			State:    s.cache[i].String(),
-			Fresh:    s.fresh[i],
-			CAM:      s.cam[i],
+			Protocol: k.String(),
+			State:    s.Cache[i].String(),
+			Fresh:    s.Fresh[i],
+			CAM:      s.CAM[i],
 		})
 	}
 	b, err := json.Marshal(rec)
@@ -866,7 +296,7 @@ func (e *explorer) dumpState(id int32, s lineState, edges []graphEdge) error {
 		panic(err)
 	}
 	b = append(b, '\n')
-	if _, err := e.cfg.Graph.Write(b); err != nil {
+	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("explore: graph dump: %w", err)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetcc/internal/audit"
 	"hetcc/internal/coherence"
 	"hetcc/internal/core"
 	"hetcc/internal/snooplogic"
@@ -87,9 +88,10 @@ func TestWrappedTriplesProved(t *testing.T) {
 	}
 }
 
-// TestWrappedAgreesWithVerify cross-validates the two model checkers: for
-// coherent-only mixes they model the same system, so the per-master
-// reachable sets must be identical.
+// TestWrappedAgreesWithVerify: Explore and core.Verify search the same
+// core.Model, so on coherent-only mixes agreement holds by construction; the
+// test pins that ModeWrapped's recipe (Reduce's policies, the reduction
+// table's allowed sets) is the system Verify is handed, state for state.
 func TestWrappedAgreesWithVerify(t *testing.T) {
 	for _, kinds := range pairs() {
 		skip := false
@@ -115,6 +117,9 @@ func TestWrappedAgreesWithVerify(t *testing.T) {
 		}
 		if len(want.Violations) != 0 || len(got.Violations) != 0 {
 			t.Errorf("%v: violations verify=%d explore=%d", kinds, len(want.Violations), len(got.Violations))
+		}
+		if want.Explored != got.States {
+			t.Errorf("%v: verify explored %d states, explore %d", kinds, want.Explored, got.States)
 		}
 		for i := range kinds {
 			if !reflect.DeepEqual(want.Reachable[i], got.Reachable[i]) {
@@ -240,7 +245,7 @@ func TestNoneMastersStayInMEIStates(t *testing.T) {
 			}
 		}
 		for _, v := range res.Violations {
-			if v.Check == CheckCAMMirror {
+			if v.Check == core.CheckCAMMirror {
 				t.Errorf("%v: CAM mirror property violated: %v", mode, v)
 			}
 		}
@@ -409,5 +414,20 @@ func TestRejectsBadConfigs(t *testing.T) {
 	}
 	if len(res.Violations) == 0 {
 		t.Error("unwired Dragon mix found coherent")
+	}
+}
+
+// TestCheckNamesMatchAuditor: the model's first four check names are the
+// online auditor's, so a violation correlates across the two verifiers.
+func TestCheckNamesMatchAuditor(t *testing.T) {
+	for model, auditor := range map[string]string{
+		core.CheckSWMR:         audit.CheckSWMR,
+		core.CheckDirtyOwner:   audit.CheckDirtyOwner,
+		core.CheckStaleRead:    audit.CheckStaleRead,
+		core.CheckIllegalState: audit.CheckIllegalState,
+	} {
+		if model != auditor {
+			t.Errorf("model check %q, auditor check %q", model, auditor)
+		}
 	}
 }
