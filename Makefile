@@ -38,9 +38,12 @@ vet:
 # event-scheduler wake structure, sharing collector).  Any nonzero allocs/op
 # in steady state fails.  The abstract model's pins (core.Verify and the
 # explorer) are per-search ceilings instead: its BFS search allocates only
-# for table growth and first-seen violations.
+# for table growth and first-seen violations.  Set-up is pinned too:
+# cache.New makes the same three allocations whatever the geometry, and
+# PF2 WCS platform build + workload programs has a ceiling, so per-line or
+# append-growth allocations cannot creep back.
 allocs:
-	$(GO) test -run TestAllocs -v ./internal/bus ./internal/event ./internal/metrics ./internal/span ./internal/sharing ./internal/sim ./internal/core ./internal/explore
+	$(GO) test -run TestAllocs -v ./internal/bus ./internal/event ./internal/metrics ./internal/span ./internal/sharing ./internal/sim ./internal/core ./internal/explore ./internal/cache ./internal/platform
 
 # Simulated-cycle benchmark suite (cmd/bench): 27 deterministic runs whose
 # cycle counts are machine-independent.  `make bench` refreshes BENCH_dev.json;

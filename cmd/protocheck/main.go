@@ -60,9 +60,7 @@ func main() {
 	flag.Parse()
 
 	if *dotFlag != "" {
-		kinds, err := parseProtocols(*dotFlag + "," + *dotFlag) // reuse the 2..4 parser
-		fatalIf(err)
-		fmt.Print(coherence.New(kinds[0]).Dot())
+		fatalIf(dot(os.Stdout, *dotFlag))
 		return
 	}
 
@@ -292,6 +290,19 @@ func withinAllowed(observed []string, allowed []coherence.State) bool {
 		}
 	}
 	return true
+}
+
+// dot prints the named protocol's state machine as a Graphviz digraph.
+func dot(w io.Writer, name string) error {
+	kinds, err := parseProtocols(name + "," + name) // reuse the 2..4 parser
+	if err != nil {
+		return err
+	}
+	if kinds[0] == coherence.None {
+		return fmt.Errorf("-dot: protocol %q has no state machine", name)
+	}
+	_, err = io.WriteString(w, coherence.New(kinds[0]).Dot())
+	return err
 }
 
 func parseProtocols(s string) ([]coherence.Kind, error) {

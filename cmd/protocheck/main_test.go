@@ -13,8 +13,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden protocheck output files")
 
 // TestOutputGolden pins the model-check output of protocheck's default run
-// (the reduction and defect matrices) and of a 4-master -protocols check to
-// committed text files.  Regenerate with
+// (the reduction and defect matrices), of a 4-master -protocols check and
+// the -dot state-machine digraphs of MESI and Dragon to committed text
+// files.  Regenerate with
 // `go test ./cmd/protocheck -run TestOutputGolden -update` only when a
 // behaviour change is intended.
 func TestOutputGolden(t *testing.T) {
@@ -26,6 +27,8 @@ func TestOutputGolden(t *testing.T) {
 		{"protocols_MEI_MSI_MESI_MOESI.golden", func(b *bytes.Buffer) error {
 			return check(b, []coherence.Kind{coherence.MEI, coherence.MSI, coherence.MESI, coherence.MOESI})
 		}},
+		{"dot_MESI.golden", func(b *bytes.Buffer) error { return dot(b, "MESI") }},
+		{"dot_Dragon.golden", func(b *bytes.Buffer) error { return dot(b, "Dragon") }},
 	}
 	for _, c := range cases {
 		var got bytes.Buffer

@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"hetcc/internal/coherence"
 )
@@ -42,6 +43,9 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if c.SizeBytes/4 > math.MaxInt32 {
+		return fmt.Errorf("cache: size %d exceeds the 32-bit word index", c.SizeBytes)
+	}
 	return nil
 }
 
@@ -56,19 +60,22 @@ func (c Config) LineAddr(addr uint32) uint32 {
 	return addr &^ uint32(c.LineBytes-1)
 }
 
-// Line is one cache line.
+// Line is one cache line's metadata.  It holds no pointers: its words live
+// in the owning Cache's data slab, read through (*Cache).Data.
 type Line struct {
 	// Base is the line-aligned address (valid only when State != Invalid).
 	Base  uint32
 	State coherence.State
-	Data  []uint32
-	lru   uint64
 
 	// flushPending marks a line whose snoop-triggered drain is queued but
 	// not yet completed; further snoops of the line must keep ARTRYing.
 	flushPending bool
 	// flushNext is the state to enter once the pending drain completes.
 	flushNext coherence.State
+
+	// off is the index of the line's first word in the data slab.
+	off int32
+	lru uint64
 }
 
 // Stats collects cache and controller event counters.
@@ -94,12 +101,20 @@ type Stats struct {
 
 // Cache is the storage array.  It has no timing of its own; the Controller
 // and the CPU model account for cycles.
+//
+// Storage is two slabs allocated once in New: lines holds every way's
+// metadata, set-major (set i is lines[i*Ways : (i+1)*Ways]), and data holds
+// every line's words at Line.off.  Neither slab contains pointers, so the
+// garbage collector never scans them.
 type Cache struct {
-	cfg   Config
-	proto *coherence.Protocol
-	sets  [][]Line
-	tick  uint64
-	stats Stats
+	cfg     Config
+	proto   *coherence.Protocol
+	lines   []Line
+	data    []uint32
+	setMask uint32
+	words   int32 // words per line
+	tick    uint64
+	stats   Stats
 }
 
 // New builds an empty cache for the given protocol.  The protocol may not
@@ -113,15 +128,27 @@ func New(cfg Config, proto *coherence.Protocol) (*Cache, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("cache: nil protocol")
 	}
-	sets := make([][]Line, cfg.Sets())
-	for i := range sets {
-		ways := make([]Line, cfg.Ways)
-		for w := range ways {
-			ways[w].Data = make([]uint32, cfg.WordsPerLine())
-		}
-		sets[i] = ways
+	n, words := cfg.Sets()*cfg.Ways, cfg.WordsPerLine()
+	lines := make([]Line, n)
+	for i := range lines {
+		lines[i].off = int32(i * words)
 	}
-	return &Cache{cfg: cfg, proto: proto, sets: sets}, nil
+	return &Cache{
+		cfg:     cfg,
+		proto:   proto,
+		lines:   lines,
+		data:    make([]uint32, n*words),
+		setMask: uint32(cfg.Sets() - 1),
+		words:   int32(words),
+	}, nil
+}
+
+// Data returns line l's words, a view into the cache's data slab with
+// len == cap == WordsPerLine, so an append copies rather than spilling into
+// the next line.  l must be a line of c.
+func (c *Cache) Data(l *Line) []uint32 {
+	end := l.off + c.words
+	return c.data[l.off:end:end]
 }
 
 // Config returns the geometry.
@@ -133,14 +160,16 @@ func (c *Cache) Protocol() *coherence.Protocol { return c.proto }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) setIndex(addr uint32) int {
-	return int((addr / uint32(c.cfg.LineBytes)) % uint32(c.cfg.Sets()))
+// set returns the ways of the set addr maps to.
+func (c *Cache) set(addr uint32) []Line {
+	i := int((addr/uint32(c.cfg.LineBytes))&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
 }
 
 // Lookup returns the line holding addr, or nil.
 func (c *Cache) Lookup(addr uint32) *Line {
 	base := c.cfg.LineAddr(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].State != coherence.Invalid && set[i].Base == base {
 			return &set[i]
@@ -159,7 +188,7 @@ func (c *Cache) Touch(l *Line) {
 // if one exists, else the least recently used.  Lines with a pending flush
 // are never chosen.
 func (c *Cache) Victim(addr uint32) *Line {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -182,7 +211,7 @@ func (c *Cache) Install(addr uint32, data []uint32, state coherence.State, into 
 	base := c.cfg.LineAddr(addr)
 	into.Base = base
 	into.State = state
-	copy(into.Data, data)
+	copy(c.Data(into), data)
 	into.flushPending = false
 	c.Touch(into)
 	return into
@@ -197,11 +226,9 @@ func (c *Cache) WordIndex(addr uint32) int {
 // CAM mirror property tests and the snoop logic).
 func (c *Cache) ResidentLines() []uint32 {
 	var out []uint32
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != coherence.Invalid {
-				out = append(out, set[i].Base)
-			}
+	for i := range c.lines {
+		if c.lines[i].State != coherence.Invalid {
+			out = append(out, c.lines[i].Base)
 		}
 	}
 	return out
@@ -222,5 +249,5 @@ func (c *Cache) PeekWord(addr uint32) (uint32, bool) {
 	if l == nil {
 		return 0, false
 	}
-	return l.Data[c.WordIndex(addr)], true
+	return c.Data(l)[c.WordIndex(addr)], true
 }

@@ -25,11 +25,12 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		{SizeBytes: 100, Ways: 1, LineBytes: 32}, // not divisible
-		{SizeBytes: 1024, Ways: 3, LineBytes: 32},    // hmm: 1024/(96) not integer
-		{SizeBytes: 1024, Ways: 1, LineBytes: 10},    // line not mult of 4
-		{SizeBytes: 96 * 32, Ways: 1, LineBytes: 32}, // 96 sets: not a power of two
-		{SizeBytes: -1024, Ways: 2, LineBytes: 32},   // negative
-		{SizeBytes: 1024, Ways: 0, LineBytes: 32},    // zero ways
+		{SizeBytes: 1024, Ways: 3, LineBytes: 32},     // hmm: 1024/(96) not integer
+		{SizeBytes: 1024, Ways: 1, LineBytes: 10},     // line not mult of 4
+		{SizeBytes: 96 * 32, Ways: 1, LineBytes: 32},  // 96 sets: not a power of two
+		{SizeBytes: -1024, Ways: 2, LineBytes: 32},    // negative
+		{SizeBytes: 1024, Ways: 0, LineBytes: 32},     // zero ways
+		{SizeBytes: 16 << 30, Ways: 1, LineBytes: 32}, // words overflow the int32 line offset
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

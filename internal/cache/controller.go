@@ -261,7 +261,7 @@ func (ctl *Controller) Access(write bool, addr, val uint32, done func(readVal ui
 				panic(fmt.Sprintf("cache %s: %v", ctl.name, err))
 			}
 			ctl.cache.stats.ReadHits++
-			return Done, l.Data[w]
+			return Done, ctl.cache.Data(l)[w]
 		}
 		next, op, needsBus, err := proto.OnWriteHit(l.State)
 		if err != nil {
@@ -271,7 +271,7 @@ func (ctl *Controller) Access(write bool, addr, val uint32, done func(readVal ui
 			ctl.cache.stats.WriteHits++
 			ctl.noteState(l.Base, l.State, next)
 			l.State = next
-			l.Data[w] = val
+			ctl.cache.Data(l)[w] = val
 			return Done, 0
 		}
 		// Write hit on a shared line: ownership upgrade (invalidation
@@ -312,7 +312,7 @@ func (ctl *Controller) accessWriteThrough(write bool, addr, val uint32, done fun
 		ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteWord, Addr: addr, Val: val, Words: 1}
 		if l != nil && !l.flushPending {
 			ctl.cache.stats.WriteHits++
-			l.Data[ctl.cache.WordIndex(addr)] = val
+			ctl.cache.Data(l)[ctl.cache.WordIndex(addr)] = val
 			ctl.cache.Touch(l)
 		} else {
 			ctl.cache.stats.WriteMisses++ // no write allocation
@@ -323,7 +323,7 @@ func (ctl *Controller) accessWriteThrough(write bool, addr, val uint32, done fun
 	if l != nil && !l.flushPending {
 		ctl.cache.stats.ReadHits++
 		ctl.cache.Touch(l)
-		return Done, l.Data[ctl.cache.WordIndex(addr)]
+		return Done, ctl.cache.Data(l)[ctl.cache.WordIndex(addr)]
 	}
 	if l != nil && l.flushPending {
 		return Busy, 0
@@ -366,7 +366,7 @@ func (ctl *Controller) wtReadDone(res bus.Result) {
 	l := ctl.cache.Install(addr, res.Data, coherence.Shared, victim)
 	ctl.noteState(l.Base, coherence.Invalid, l.State)
 	ctl.busy = false
-	done(l.Data[ctl.cache.WordIndex(addr)])
+	done(ctl.cache.Data(l)[ctl.cache.WordIndex(addr)])
 }
 
 // writeWithBus completes a write hit that needs a bus operation: an
@@ -414,7 +414,7 @@ func (ctl *Controller) upgradeDone(res bus.Result) {
 	}
 	ctl.noteState(cur.Base, cur.State, next)
 	cur.State = next
-	cur.Data[ctl.cache.WordIndex(addr)] = val
+	ctl.cache.Data(cur)[ctl.cache.WordIndex(addr)] = val
 	ctl.cache.Touch(cur)
 	ctl.reqDone = nil
 	ctl.busy = false
@@ -467,7 +467,7 @@ func (ctl *Controller) fillDone(res bus.Result) {
 	if !write {
 		ctl.reqDone = nil
 		ctl.busy = false
-		done(l.Data[w])
+		done(ctl.cache.Data(l)[w])
 		return
 	}
 	if proto.UpdateBased() {
@@ -484,7 +484,7 @@ func (ctl *Controller) fillDone(res bus.Result) {
 		ctl.noteState(l.Base, l.State, next)
 		l.State = next
 	}
-	l.Data[w] = val
+	ctl.cache.Data(l)[w] = val
 	ctl.reqDone = nil
 	ctl.busy = false
 	done(0)
@@ -501,7 +501,7 @@ func (ctl *Controller) evict(l *Line) {
 		j.kind = wbEvict
 		j.base = base
 		j.start = ctl.bus.Cycle()
-		j.setData(l.Data)
+		j.setData(ctl.cache.Data(l))
 		ctl.pendingWB[base] = struct{}{}
 		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: base, Data: j.buf}
 		ctl.bus.Submit(&j.txn, j.doneFn)
@@ -562,7 +562,7 @@ func (ctl *Controller) Clean(addr uint32, done func()) Status {
 	j.base = base
 	j.userDone = done
 	j.start = ctl.bus.Cycle()
-	j.setData(l.Data)
+	j.setData(ctl.cache.Data(l))
 	ctl.pendingWB[base] = struct{}{}
 	ctl.invalidateLine(l)
 	j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: base, Data: j.buf}
@@ -634,7 +634,7 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 		j.line = l
 		j.converted = converted
 		j.start = ctl.bus.Cycle()
-		j.setData(l.Data)
+		j.setData(ctl.cache.Data(l))
 		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: l.Base, Data: j.buf}
 		ctl.bus.SubmitFlush(&j.txn, j.doneFn)
 		ctl.bus.PreferNext(ctl.masterID)
@@ -644,14 +644,14 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 	if out.Update {
 		// Dragon bus update: patch the broadcast word in place.
 		ctl.cache.stats.SnoopUpdates++
-		l.Data[ctl.cache.WordIndex(t.Addr)] = t.Val
+		ctl.cache.Data(l)[ctl.cache.WordIndex(t.Addr)] = t.Val
 	}
 	if out.Supply {
 		ctl.cache.stats.SnoopSupplies++
 		reply.Supply = true
 		// The bus copies the reply before this call returns (SnoopReply.Data
 		// contract), so the live line can be handed out without a copy.
-		reply.Data = l.Data
+		reply.Data = ctl.cache.Data(l)
 	}
 	if out.Next == coherence.Invalid {
 		ctl.cache.stats.SnoopInvalidations++

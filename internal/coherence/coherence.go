@@ -81,6 +81,10 @@ func (k Kind) String() string {
 	}
 }
 
+// Known reports whether k is one of the protocol kinds this package defines
+// (None included).  New panics on any other kind.
+func (k Kind) Known() bool { return k <= Dragon }
+
 // BusOp is a coherence-relevant bus operation observed by snoopers.
 type BusOp uint8
 

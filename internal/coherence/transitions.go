@@ -1,6 +1,11 @@
 package coherence
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Transition is one edge of a protocol state machine, in the conventional
 // "event / action" labelling of coherence diagrams.
@@ -22,7 +27,8 @@ func (t Transition) Label() string {
 // Transitions enumerates the protocol's full edge set: processor-side
 // allocations and write hits plus every snoop-side transition.  Self-loops
 // with no action (read hits, snoops that keep the state) are omitted to
-// match textbook diagrams.
+// match textbook diagrams.  The edges are sorted by (From, Event, To,
+// Action), so the listing does not depend on map iteration order.
 func (p *Protocol) Transitions() []Transition {
 	var out []Transition
 	add := func(from, to State, event, action string) {
@@ -87,6 +93,10 @@ func (p *Protocol) Transitions() []Transition {
 			add(from, outc.Next, op.String(), action)
 		}
 	}
+	slices.SortFunc(out, func(a, b Transition) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), strings.Compare(a.Event, b.Event),
+			cmp.Compare(a.To, b.To), strings.Compare(a.Action, b.Action))
+	})
 	return out
 }
 

@@ -255,6 +255,9 @@ func (m Model) Search() (*Census, error) {
 	}
 	for i, ms := range m.Masters {
 		k := ms.Protocol
+		if !k.Known() {
+			return nil, fmt.Errorf("core: model master %d has unknown protocol %v", i, k)
+		}
 		if k == coherence.None {
 			k = coherence.MEI
 			s.cam[i] = m.Snooping

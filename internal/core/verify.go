@@ -85,13 +85,13 @@ func Verify(protocols []coherence.Kind, policies []WrapperPolicy, effective cohe
 	if len(policies) != len(protocols) {
 		return VerifyResult{}, fmt.Errorf("core: %d policies for %d processors", len(policies), len(protocols))
 	}
-	if effective == coherence.None {
+	if effective == coherence.None || !effective.Known() {
 		return VerifyResult{}, fmt.Errorf("core: verify needs a coherent effective protocol, got %v", effective)
 	}
 	m := Model{Masters: make([]ModelMaster, len(protocols)), Snooping: true}
 	for i, k := range protocols {
-		if k == coherence.None {
-			return VerifyResult{}, fmt.Errorf("core: verify models coherent processors only (P%d is None)", i)
+		if k == coherence.None || !k.Known() {
+			return VerifyResult{}, fmt.Errorf("core: verify models coherent processors only (P%d is %v)", i, k)
 		}
 		m.Masters[i] = ModelMaster{Protocol: k, Policy: policies[i], Allowed: AllowedStates(k, effective)}
 	}

@@ -186,6 +186,16 @@ func TestVerifyInputValidation(t *testing.T) {
 	if _, err := Verify(make([]coherence.Kind, ModelMasters+1), make([]WrapperPolicy, ModelMasters+1), coherence.MEI); err == nil {
 		t.Error("too many processors accepted")
 	}
+	unknown := coherence.Kind(42)
+	if _, err := Verify([]coherence.Kind{coherence.MESI, unknown}, passthrough(2), coherence.MESI); err == nil {
+		t.Error("unknown processor protocol accepted")
+	}
+	if _, err := Verify([]coherence.Kind{coherence.MESI, coherence.MEI}, passthrough(2), unknown); err == nil {
+		t.Error("unknown effective protocol accepted")
+	}
+	if _, err := (Model{Masters: []ModelMaster{{Protocol: coherence.MESI}, {Protocol: unknown}}}).Search(); err == nil {
+		t.Error("model search accepted an unknown protocol")
+	}
 }
 
 // TestVerifyViolationHasWitnessTrace: violations must carry a replayable

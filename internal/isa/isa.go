@@ -8,7 +8,10 @@
 // simple linear fetch-execute machine with no branch state.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind enumerates the micro-operation kinds.
 type Kind int
@@ -139,6 +142,13 @@ type Builder struct {
 
 // NewBuilder returns an empty program builder.
 func NewBuilder() *Builder { return &Builder{} }
+
+// Grow reserves room for n more ops, so a caller that knows its program's
+// length builds it in one allocation.
+func (b *Builder) Grow(n int) *Builder {
+	b.ops = slices.Grow(b.ops, n)
+	return b
+}
 
 // Read appends a load of addr.
 func (b *Builder) Read(addr uint32) *Builder {

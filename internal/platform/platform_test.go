@@ -206,7 +206,7 @@ func TestFinalStateConsistency(t *testing.T) {
 			for i := range p.CPUs {
 				c := p.Controllers[i].Cache()
 				if l := c.Lookup(addr); l != nil && l.State.Dirty() {
-					return l.Data[c.WordIndex(addr)]
+					return c.Data(l)[c.WordIndex(addr)]
 				}
 			}
 			return p.Memory.Peek(addr)

@@ -203,7 +203,7 @@ func Programs(s Scenario, p Params, sol platform.Solution, tasks int) ([]isa.Pro
 
 func buildTask(s Scenario, p Params, sol platform.Solution, task int) isa.Program {
 	rng := sim.NewRNG(p.Seed + uint64(task)*0x9e3779b97f4a7c15)
-	b := isa.NewBuilder()
+	b := isa.NewBuilder().Grow(taskOps(p, sol))
 	block := 0
 	for round := 0; round < p.Iterations; round++ {
 		if s == TCS && (round == 0 || rng.Intn(100) >= p.BlockAffinityPct) {
@@ -233,6 +233,21 @@ func buildTask(s Scenario, p Params, sol platform.Solution, task int) isa.Progra
 		b.Unlock(0)
 	}
 	return b.Halt()
+}
+
+// taskOps is the exact length of buildTask's program: per round an optional
+// think-time delay, the lock pair, a read and a write per touched word of
+// every line exec_time times, and under Software a drain per line; then the
+// final Halt.
+func taskOps(p Params, sol platform.Solution) int {
+	round := 2 + 2*p.ExecTime*p.Lines*p.WordsPerLine
+	if p.PreDelay > 0 {
+		round++
+	}
+	if sol == platform.Software {
+		round += p.Lines
+	}
+	return p.Iterations*round + 1
 }
 
 // Footprint returns every shared word a run with these parameters can

@@ -238,3 +238,26 @@ func countKind(p isa.Program, k isa.Kind) int {
 	}
 	return n
 }
+
+// TestTaskProgramsPresized: taskOps is buildTask's exact op count for every
+// scenario, solution and think-time setting, and a program costs the same
+// allocations however long it is, so it is built without append growth.
+func TestTaskProgramsPresized(t *testing.T) {
+	short := Params{Lines: 1, ExecTime: 1, Iterations: 1, WordsPerLine: 1}.Defaults()
+	shortAllocs := testing.AllocsPerRun(5, func() { buildTask(WCS, short, platform.Proposed, 1) })
+	for _, pre := range []int{-1, 8} { // a negative PreDelay emits no Delay op
+		p := Params{Lines: 32, ExecTime: 3, Iterations: 16, WordsPerLine: 6, PreDelay: pre}.Defaults()
+		for _, s := range Scenarios() {
+			for _, sol := range platform.Solutions() {
+				prog := buildTask(s, p, sol, 1)
+				if want := taskOps(p, sol); len(prog) != want {
+					t.Errorf("%v/%v/pre=%d: %d ops, taskOps says %d", s, sol, pre, len(prog), want)
+				}
+				if n := testing.AllocsPerRun(5, func() { buildTask(s, p, sol, 1) }); n != shortAllocs {
+					t.Errorf("%v/%v/pre=%d: %d-op program makes %.0f allocs, a %d-op one %.0f",
+						s, sol, pre, len(prog), n, taskOps(short, platform.Proposed), shortAllocs)
+				}
+			}
+		}
+	}
+}
